@@ -3,8 +3,11 @@
     python3 viewbench/run.py --workload ingest --seed 1 --seconds 15 --trace 0
 
 Run from the root of a checkout: the engine is imported from ``src/``.
-The workloads, metrics and their predictions are defined in
-``viewbench/spec.py`` (and named in ``BENCHMARK.json``).
+The metrics, their units and bounds are named in ``BENCHMARK.json``;
+input sizes and each per-layer metric's prediction are in
+``viewbench/spec.py``.  End-to-end times are scaled to a reference host
+speed measured next to every cycle (see ``viewbench/hostspeed.py``);
+the details line keeps the raw wall times.
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs the
 same workload with span recording around every layer boundary (see
@@ -40,15 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    # internal: time one cold set-up and print its seconds
+    # internal: time one cold set-up, print JSON
     parser.add_argument("--setup-only", action="store_true",
                         help=argparse.SUPPRESS)
     parser.add_argument("--persons", type=int, default=None,
                         help=argparse.SUPPRESS)
     # internal: time one reopening of a durable directory, print JSON
     parser.add_argument("--restore-only", metavar="DIR", default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--check", action="store_true",
                         help=argparse.SUPPRESS)
     return parser
 
@@ -123,12 +124,13 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
         "window_s": run.window_seconds,
         "setup_s": run.setup_seconds,
         "restore_s": run.restore_seconds,
+        "wall": summary.wall_medians(run),
         "durable_bytes": run.durable_bytes,
         "recomputes": recompute["per_view"],
         "multiview.recompute_ratio": recompute["ratio"],
         "failed_frac": run.failed / max(run.attempted, 1),
     })
-    metrics = {key: {"value": value, "unit": summary.UNITS[key]}
+    metrics = {key: {"value": value, "unit": spec.UNITS[key]}
                for key, value in values.items()}
     result = {"correct": correct, "attempted": max(run.attempted, 1),
               "failed": run.failed, "metrics": metrics}
@@ -153,14 +155,13 @@ def main(argv=None) -> int:
         wl = spec.WORKLOADS[args.workload]
         document = xmark.generate_site(args.persons or wl.persons,
                                        seed=args.seed)
-        print(workloads.setup_only(wl, document))
+        print(json.dumps(workloads.setup_only(wl, document)))
         return 0
     if args.restore_only:
         import workloads
         names = [name for name, _query, _policy
                  in spec.WORKLOADS[args.workload].views]
-        print(json.dumps(workloads.reopen(args.restore_only, names,
-                                          args.check)))
+        print(json.dumps(workloads.reopen(args.restore_only, names)))
         return 0
     correct, result, details = run_workload(
         args.workload, args.seed, args.seconds, bool(args.trace))

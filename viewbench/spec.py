@@ -1,21 +1,32 @@
-"""What the benchmark measures: workloads, metrics and their predictions.
+"""What the benchmark measures: workloads, input sizes and predictions.
 
-This table is the single source of the benchmark's definitions.
-``BENCHMARK.json`` at the repository root repeats the names, units,
-directions and bounds (the self-test checks that the two agree); the
-per-layer ``moves`` predictions and the workload input sizes live only
-here, because the root file has a fixed key set.
+Metric names, units, directions and bounds, and each workload's reason,
+are read from ``BENCHMARK.json`` at the repository root.  This module
+holds only what that file has no key for: the input sizes of each
+workload and, for each per-layer metric, the end-to-end metric and
+workload it should move.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(_ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCHMARK = json.load(_fh)
+
+#: metric entries of BENCHMARK.json (name, unit, better[, bound])
+END_TO_END = BENCHMARK["end_to_end"]
+PER_LAYER = BENCHMARK["per_layer"]
+UNITS = {m["name"]: m["unit"] for m in END_TO_END + PER_LAYER}
 
 
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     persons: int            # XMark people in site.xml
     views: tuple            # (name, xmark query attribute, policy)
     statements: int         # statements per op batch
@@ -28,9 +39,6 @@ class Workload:
 WORKLOADS = {
     "ingest": Workload(
         "ingest",
-        "Fragment parse, storage/index insertion and statement resolution "
-        "dominate; 2000 persons (~1 MB site.xml) so O(document) costs "
-        "show; 4-insert batches alternate with 4-delete batches",
         persons=2000,
         views=(("join", "JOIN_QUERY", "immediate"),
                ("senior", "SELECTION_QUERY", "immediate")),
@@ -38,9 +46,6 @@ WORKLOADS = {
         push_view="join"),
     "regroup": Workload(
         "regroup",
-        "City modifies travel as retract/assert pairs through "
-        "distinct-values, order by, group by and count; 400 persons, "
-        "6 modifies per batch, deferred headcount read every 4th batch",
         persons=400,
         views=(("bycity", "PERSONS_BY_CITY_QUERY", "immediate"),
                ("headcount", "CITY_HEADCOUNT_QUERY", "deferred")),
@@ -48,9 +53,6 @@ WORKLOADS = {
         push_view="bycity"),
     "serve": Workload(
         "serve",
-        "Only workload with WAL append/fsync, checkpoints, XQuery-update "
-        "parsing and push fan-out; server child, 400 persons, 4-insert "
-        "and 4-delete updates, 256 subscriptions",
         persons=400,
         # A deferred senior view, not headcount: under person deletes the
         # headcount cost model flips between recompute and propagate
@@ -64,110 +66,57 @@ WORKLOADS = {
 
 #: set-ups per run (setup_s is their median): at least ``min``, more
 #: while the run has spent less than ``budget_s`` on them, at most ``max``
-SETUP_REPEATS = {"min": 3, "max": 15, "budget_s": 4.0}
-#: durable reopenings per traced run (restore_s is their median)
-RESTORE_REPEATS = {"min": 3, "max": 15, "budget_s": 4.0}
+SETUP_REPEATS = {"min": 5, "max": 15, "budget_s": 6.0}
 #: distinct cycle inputs generated per run (cycled when a run is longer)
 INPUT_POOL = 1024
 
-
-@dataclass(frozen=True)
-class Metric:
-    name: str
-    unit: str
-    better: str
-    bound: float = 0.0      # end-to-end only
-    moves: str = ""         # per-layer only: end-to-end metric -> workload
-
-
-END_TO_END = (
-    Metric("setup_s", "s", "lower", 0.25),
-    Metric("update_p50_ms", "ms", "lower", 0.25),
-    Metric("update_tail_ms", "ms", "lower", 0.25),
-    Metric("stmts_per_s", "1/s", "higher", 0.25),
-    Metric("read_p50_ms", "ms", "lower", 0.25),
-    Metric("push_lag_p50_ms", "ms", "lower", 0.25),
-    Metric("push_lag_tail_ms", "ms", "lower", 0.25),
-    Metric("durable_bytes_per_input_byte", "ratio", "lower", 0.15),
-    Metric("peak_rss_mb", "MB", "lower", 0.1),
-)
-
 _P50 = "update_p50_ms"
-PER_LAYER = (
-    Metric("api.resolve_ms", "ms", "lower",
-           moves=f"{_P50} on ingest, regroup"),
-    Metric("xquery.parse_update_ms", "ms", "lower", moves=f"{_P50} on serve"),
-    Metric("xquery.evaluate_update_ms", "ms", "lower",
-           moves=f"{_P50} on serve"),
-    Metric("xmlmodel.fragment_parse_ms", "ms", "lower",
-           moves=f"{_P50}, stmts_per_s on ingest, serve; ~0 on regroup"),
-    Metric("xmlmodel.fragment_bytes", "bytes", "lower",
-           moves=f"{_P50} on ingest, serve"),
-    Metric("xmlmodel.document_parse_s", "s", "lower",
-           moves="setup_s on all"),
-    Metric("xmlmodel.serialize_ms", "ms", "lower",
-           moves="read_p50_ms on all"),
-    Metric("translate.view_compile_s", "s", "lower",
-           moves="setup_s on all"),
-    Metric("storage.insert_ms", "ms", "lower",
-           moves=f"{_P50} on ingest; small on regroup"),
-    Metric("storage.delete_ms", "ms", "lower",
-           moves="stmts_per_s on ingest, serve"),
-    Metric("storage.modify_ms", "ms", "lower", moves=f"{_P50} on regroup"),
-    Metric("storage.index_ms", "ms", "lower",
-           moves=f"{_P50} on ingest; small on regroup"),
-    Metric("storage.nodes_per_batch", "count", "lower",
-           moves=f"{_P50} on ingest"),
-    Metric("multiview.route_ms", "ms", "lower", moves=f"{_P50} on all"),
-    Metric("multiview.validate_ms", "ms", "lower", moves=f"{_P50} on all"),
-    Metric("multiview.routed_ratio", "ratio", "lower",
-           moves=f"{_P50} on all"),
-    Metric("multiview.recompute_ratio", "ratio", "lower",
-           moves="update_tail_ms on regroup"),
-    Metric("engine.propagate_ms", "ms", "lower",
-           moves=f"{_P50} on regroup; minor on ingest"),
-    Metric("engine.recompute_ms", "ms", "lower",
-           moves="update_tail_ms on regroup"),
-    Metric("engine.state_hit_ratio", "ratio", "higher",
-           moves=f"{_P50} on regroup"),
-    Metric("engine.state_patches_per_batch", "count", "lower",
-           moves=f"{_P50} on regroup"),
-    Metric("plan.instructions_per_batch", "count", "lower",
-           moves=f"{_P50} on regroup"),
-    Metric("plan.fallback_ratio", "ratio", "lower",
-           moves=f"{_P50} on regroup"),
-    Metric("apply.fuse_ms", "ms", "lower", moves=f"{_P50} on regroup"),
-    Metric("apply.mutations_per_batch", "count", "lower",
-           moves=f"{_P50} on regroup"),
-    Metric("durability.wal_append_ms", "ms", "lower",
-           moves="update_tail_ms, stmts_per_s on serve"),
-    Metric("durability.wal_bytes_per_batch", "bytes", "lower",
-           moves="durable_bytes_per_input_byte on serve"),
-    Metric("durability.fsync_ms", "ms", "lower",
-           moves="update_tail_ms, stmts_per_s on serve"),
-    Metric("durability.fsyncs_per_batch", "count", "lower",
-           moves="update_tail_ms on serve"),
-    Metric("durability.checkpoint_ms", "ms", "lower",
-           moves="update_tail_ms on serve"),
+#: per-layer metric -> the end-to-end metric and workloads it should move
+MOVES = {
+    "api.resolve_ms": f"{_P50} on ingest, regroup",
+    "xquery.parse_update_ms": f"{_P50} on serve",
+    "xquery.evaluate_update_ms": f"{_P50} on serve",
+    "xmlmodel.fragment_parse_ms":
+        f"{_P50}, stmts_per_s on ingest, serve; ~0 on regroup",
+    "xmlmodel.fragment_bytes": f"{_P50} on ingest, serve",
+    "xmlmodel.document_parse_s": "setup_s on all",
+    "xmlmodel.serialize_ms": "read_p50_ms on all",
+    "translate.view_compile_s": "setup_s on all",
+    "storage.insert_ms": f"{_P50} on ingest; small on regroup",
+    "storage.delete_ms": "stmts_per_s on ingest, serve",
+    "storage.modify_ms": f"{_P50} on regroup",
+    "storage.index_ms": f"{_P50} on ingest; small on regroup",
+    "storage.nodes_per_batch": f"{_P50} on ingest",
+    "multiview.route_ms": f"{_P50} on all",
+    "multiview.validate_ms": f"{_P50} on all",
+    "multiview.routed_ratio": f"{_P50} on all",
+    "multiview.recompute_ratio": "update_tail_ms on regroup",
+    "engine.propagate_ms": f"{_P50} on regroup; minor on ingest",
+    "engine.recompute_ms": "update_tail_ms on regroup",
+    "engine.state_hit_ratio": f"{_P50} on regroup",
+    "engine.state_patches_per_batch": f"{_P50} on regroup",
+    "plan.instructions_per_batch": f"{_P50} on regroup",
+    "plan.fallback_ratio": f"{_P50} on regroup",
+    "apply.fuse_ms": f"{_P50} on regroup",
+    "apply.mutations_per_batch": f"{_P50} on regroup",
+    "durability.wal_append_ms": "update_tail_ms, stmts_per_s on serve",
+    "durability.wal_bytes_per_batch": "durable_bytes_per_input_byte on serve",
+    "durability.fsync_ms": "update_tail_ms, stmts_per_s on serve",
+    "durability.fsyncs_per_batch": "update_tail_ms on serve",
+    "durability.checkpoint_ms": "update_tail_ms on serve",
     # End to end but ungated: reopening takes 0.1-0.6 s in a fresh
     # process, mostly page faults and garbage collection, and its median
     # moved by 0.2-0.5 of itself between runs on the same inputs.
-    Metric("restore_s", "s", "lower", moves="none (the reopening itself)"),
-    Metric("durability.restore_read_s", "s", "lower",
-           moves="restore_s on all"),
-    Metric("durability.replay_s", "s", "lower", moves="restore_s on all"),
-    Metric("server.encode_ms", "ms", "lower",
-           moves=f"push_lag_p50_ms, {_P50} on serve"),
-    Metric("server.frames_out_per_update", "count", "lower",
-           moves="push_lag_p50_ms on serve"),
-    Metric("server.bytes_out_per_update", "bytes", "lower",
-           moves="push_lag_p50_ms on serve"),
-    Metric("server.decode_ms", "ms", "lower", moves=f"{_P50} on serve"),
-    Metric("server.apply_ms", "ms", "lower", moves=f"{_P50} on serve"),
-    Metric("server.overhead_ms", "ms", "lower", moves=f"{_P50} on serve"),
-    Metric("obs.trace_overhead", "ratio", "lower",
-           moves="none (cost of the traced run itself)"),
-    Metric("layers.coverage", "ratio", "higher",
-           moves="none (share of update wall time the layers explain)"),
-    Metric("failed_frac", "ratio", "lower", moves="all metrics on all"),
-)
+    "restore_s": "none (the reopening itself)",
+    "durability.restore_read_s": "restore_s on all",
+    "durability.replay_s": "restore_s on all",
+    "server.encode_ms": f"push_lag_p50_ms, {_P50} on serve",
+    "server.frames_out_per_update": "push_lag_p50_ms on serve",
+    "server.bytes_out_per_update": "push_lag_p50_ms on serve",
+    "server.decode_ms": f"{_P50} on serve",
+    "server.apply_ms": f"{_P50} on serve",
+    "server.overhead_ms": f"{_P50} on serve",
+    "obs.trace_overhead": "none (cost of the traced run itself)",
+    "layers.coverage": "none (share of update wall time the layers explain)",
+    "failed_frac": "all metrics on all",
+}

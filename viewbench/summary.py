@@ -7,7 +7,6 @@ import statistics
 from collections import defaultdict
 
 from layers import ATTRS, END, NAME, OP, PARENT, START, self_times
-from spec import END_TO_END, PER_LAYER
 
 #: the reported tail percentile, then lower ones for short runs.  p90,
 #: not higher: p98 follows the host's stall rate, which drifts between
@@ -15,8 +14,6 @@ from spec import END_TO_END, PER_LAYER
 LADDER = (90.0, 75.0, 50.0)
 #: samples a tail percentile must leave beyond it
 TAIL_MIN_BEYOND = 10
-
-UNITS = {m.name: m.unit for m in END_TO_END + PER_LAYER}
 
 
 def percentile(values, p: float) -> float:
@@ -64,10 +61,27 @@ def snapshot_delta(before: dict, after: dict, family: str) -> float:
     return counter_total(after, family) - counter_total(before, family)
 
 
-def _latencies(run, kind: str, field: str, traced: bool) -> list:
-    return [getattr(s, field) for s in run.samples
+def _latencies(run, kind: str, field: str, traced: bool,
+               scaled: bool = True) -> list:
+    """Sample times, scaled to the reference host speed unless not
+    ``scaled``."""
+    return [getattr(s, field) * (s.scale if scaled else 1.0)
+            for s in run.samples
             if s.kind == kind and s.traced == traced and not s.failed
             and getattr(s, field) is not None]
+
+
+def wall_medians(run) -> dict:
+    """Unscaled medians, for the details line."""
+    medians = {"setup_s": statistics.median(run.setup_wall_seconds),
+               "window_s": run.window_seconds}
+    for key, kind, field in (("update_p50_ms", "op", "latency"),
+                             ("read_p50_ms", "read", "latency"),
+                             ("push_lag_p50_ms", "op", "push_lag")):
+        values = _latencies(run, kind, field, False, scaled=False)
+        if values:
+            medians[key] = _ms(statistics.median(values))
+    return medians
 
 
 def end_to_end(run) -> tuple[dict, dict]:
@@ -81,7 +95,7 @@ def end_to_end(run) -> tuple[dict, dict]:
         "setup_s": statistics.median(run.setup_seconds),
         "update_p50_ms": _ms(statistics.median(updates)),
         "update_tail_ms": _ms(update_tail["value"]),
-        "stmts_per_s": run.statements_applied / run.window_seconds,
+        "stmts_per_s": run.statements_applied / run.scaled_busy_seconds,
         "read_p50_ms": _ms(statistics.median(reads)),
         "push_lag_p50_ms": _ms(statistics.median(lags)),
         "push_lag_tail_ms": _ms(lag_tail["value"]),
@@ -113,6 +127,8 @@ def per_layer(run) -> dict:
     """The per-layer metrics of a traced run (see spec.PER_LAYER)."""
     spans = run.spans
     selfs = self_times(spans)
+    # spans of an op are scaled by the host-speed factor of its cycle
+    scale = {s.op: s.scale for s in run.samples}
     batches = {s.op for s in run.samples
                if s.kind in ("op", "follow") and s.traced and not s.failed}
     reads = {s.op for s in run.samples
@@ -133,11 +149,11 @@ def per_layer(run) -> dict:
         if name == "durability.checkpoint":
             checkpoints.append(duration)
         if op in batches:
-            self_sum[name] += selfs[i]
-            incl_sum[name] += duration
+            self_sum[name] += selfs[i] * scale[op]
+            incl_sum[name] += duration * scale[op]
             calls[name] += 1
             if not name.startswith("op."):
-                covered += selfs[i]
+                covered += selfs[i] * scale[op]
             attrs = span[ATTRS]
             if attrs:
                 nested_insert = (name == "storage.insert" and span[PARENT] >= 0
@@ -149,14 +165,14 @@ def per_layer(run) -> dict:
                     if isinstance(value, (int, float)):
                         attr_sum[(name, key)] += value
         elif op in reads:
-            read_self[name] += selfs[i]
+            read_self[name] += selfs[i] * scale[op]
         elif isinstance(op, str):
             phase_incl[(op, name)] += duration
 
     batch_samples = [s for s in run.samples
                      if s.op in batches and s.kind in ("op", "follow")]
-    batch_wall = sum(s.completion for s in batch_samples)
-    round_trip = sum(s.latency for s in batch_samples)
+    batch_wall = sum(s.completion * s.scale for s in batch_samples)
+    round_trip = sum(s.latency * s.scale for s in batch_samples)
 
     def per_batch_ms(name):
         return _ms(self_sum[name] / n)
@@ -226,7 +242,7 @@ def per_layer(run) -> dict:
         "durability.fsyncs_per_batch": calls["durability.fsync"] / n,
         "durability.checkpoint_ms":
             _ms(statistics.mean(checkpoints)) if checkpoints else 0.0,
-        "restore_s": statistics.median(run.restore_seconds),
+        "restore_s": run.restore_seconds,
         "durability.restore_read_s": restore_read,
         "durability.replay_s":
             max(recover - restore_read - restore_state, 0.0),

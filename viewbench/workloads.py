@@ -8,6 +8,8 @@ after its delta reached every subscription).  A *cycle* is one op batch
 document keeps its size, and every ``read_every`` cycles one read.  In
 a traced run, even cycles run with the layer wrappers installed and odd
 cycles without, so traced and untraced latencies come from one window.
+The host's speed is measured between cycles (``hostspeed.py``) and each
+sample carries the factor that scales it to the reference speed.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import hostspeed
 from layers import OP, load_spans
-from spec import INPUT_POOL, RESTORE_REPEATS, SETUP_REPEATS, Workload
+from spec import INPUT_POOL, SETUP_REPEATS, Workload
 
 from repro.api import Database
 from repro.server import ReproClient
@@ -119,15 +122,18 @@ class Sample:
     traced: bool
     failed: bool
     statements: int
+    scale: float = 1.0       # host-speed factor of the sample's cycle
 
 
 @dataclass
 class Run:
     served: bool = False
     samples: list = field(default_factory=list)
-    setup_seconds: list = field(default_factory=list)
-    restore_seconds: list = field(default_factory=list)
+    setup_seconds: list = field(default_factory=list)     # scaled
+    setup_wall_seconds: list = field(default_factory=list)
+    restore_seconds: float = 0.0                           # scaled
     window_seconds: float = 0.0
+    scaled_busy_seconds: float = 0.0    # cycle time, scaled
     statements_applied: int = 0
     batches_in_window: int = 0
     cycles: int = 0
@@ -180,9 +186,17 @@ def _untraced(recorder):
 
 
 def repeats(rule: dict, spent: float, done: int) -> bool:
-    """Whether to take another set-up or reopening sample."""
+    """Whether to take another set-up sample."""
     return done < rule["min"] or (spent < rule["budget_s"]
                                   and done < rule["max"])
+
+
+def processors() -> tuple:
+    """``(client, engine)`` processors: the benchmark pins its own thread
+    to the first and the process doing the engine work to the last, so
+    the host-speed reference can be measured where the work runs."""
+    allowed = sorted(os.sched_getaffinity(0))
+    return allowed[0], allowed[-1]
 
 
 def _check(condition: bool, message: str) -> None:
@@ -215,17 +229,17 @@ def digest(xml: dict) -> str:
     return hasher.hexdigest()
 
 
-def reopen(directory: str, names, check: bool) -> dict:
-    """Open a durable directory and read every view (the timed part);
-    with ``check``, also compare each view with recomputation."""
-    started = _clock()
-    db = Database(durable_path=directory)
-    xml = {name: db.read(name) for name in names}
-    result = {"seconds": _clock() - started, "digest": digest(xml)}
-    if check:
-        result["recomputed"] = all(xml[name] == db.registry.recompute_xml(name)
-                                   for name in names)
-    return result
+def reopen(directory: str, names) -> dict:
+    """Open a durable directory and read every view (the timed part),
+    then compare each view with recomputation."""
+    def open_and_read():
+        db = Database(durable_path=directory)
+        return db, {name: db.read(name) for name in names}
+
+    (db, xml), wall, scaled = hostspeed.timed(open_and_read)
+    return {"seconds": scaled, "wall_seconds": wall, "digest": digest(xml),
+            "recomputed": all(xml[name] == db.registry.recompute_xml(name)
+                              for name in names)}
 
 
 def check_restore(run: Run, wl: Workload, directory: str, expected: dict,
@@ -233,28 +247,26 @@ def check_restore(run: Run, wl: Workload, directory: str, expected: dict,
     """Correctness gate on reopening ``directory``: every view reads back
     as ``expected`` and equals recomputation.
 
-    An untraced run reopens once, in a fresh process.  A traced run
-    reopens once in this process under the recorder (for the durability
-    spans), then times fresh-process reopenings for ``restore_s``.
+    The gate and ``restore_s`` come from one reopening in a fresh
+    process.  A traced run first reopens once in this process under the
+    recorder, for the durability spans.
     """
     names = [name for name, _query, _policy in wl.views]
-    args = ["--workload", wl.name, "--seed", "0", "--seconds", "0",
-            "--restore-only", directory]
-    if recorder is None:
-        result = json.loads(_run_child(*args, "--check").splitlines()[-1])
-    else:
+    results = []
+    if recorder is not None:
         _traced_phase(recorder, "restore")
-        result = reopen(directory, names, check=True)
+        results.append(reopen(directory, names))
         _untraced(recorder)
-        started = _clock()
-        while repeats(RESTORE_REPEATS, _clock() - started,
-                      len(run.restore_seconds)):
-            timed = json.loads(_run_child(*args).splitlines()[-1])
-            run.restore_seconds.append(timed["seconds"])
-    _check(result["digest"] == digest(expected),
-           "views read back differently after reopening the durable "
-           "directory")
-    _check(result["recomputed"], "reopened views differ from recomputation")
+    results.append(json.loads(_run_child(
+        "--workload", wl.name, "--seed", "0", "--seconds", "0",
+        "--restore-only", directory).splitlines()[-1]))
+    run.restore_seconds = results[-1]["seconds"]
+    for result in results:
+        _check(result["digest"] == digest(expected),
+               "views read back differently after reopening the durable "
+               "directory")
+        _check(result["recomputed"],
+               "reopened views differ from recomputation")
 
 
 # -- the closed loop ------------------------------------------------------------------------
@@ -268,6 +280,8 @@ def drive(run: Run, wl: Workload, inputs: Inputs, seconds: float, batch,
     failed op skips its follow batch); ``trace`` is an ``(on, off)``
     pair of callables in a traced run, where even cycles are traced.
     """
+    hostspeed.warm_up()
+    before = hostspeed.measure()
     started = _clock()
     deadline = started + seconds
     cycle = 0
@@ -275,13 +289,22 @@ def drive(run: Run, wl: Workload, inputs: Inputs, seconds: float, batch,
         traced = trace is not None and cycle % 2 == 0
         if traced:
             trace[0]()
+        first = len(run.samples)
+        cycle_started = _clock()
         item = inputs.cycles[cycle % len(inputs.cycles)]
         if batch("op", item.op, traced) and item.follow:
             batch("follow", item.follow, traced)
         if cycle % wl.read_every == 0:
             read(traced)
+        busy = _clock() - cycle_started
         if traced:
             trace[1]()
+        after = hostspeed.measure()
+        factor = hostspeed.scale(before, after)
+        for sample in run.samples[first:]:
+            sample.scale = factor
+        run.scaled_busy_seconds += busy * factor
+        before = after
         cycle += 1
         if _clock() >= deadline:
             break
@@ -312,20 +335,21 @@ def _setup_in_process(document: str, views) -> Database:
     return db
 
 
-def time_setup_in_child(wl: Workload, seed: int, persons: int) -> float:
+def time_setup_in_child(run: Run, wl: Workload, seed: int,
+                        persons: int) -> None:
     """One set-up timed in a fresh interpreter (see ``_run_child``)."""
-    return float(_run_child("--workload", wl.name, "--seed", str(seed),
-                            "--seconds", "0", "--setup-only", "--persons",
-                            str(persons)).split()[-1])
+    timed = json.loads(_run_child(
+        "--workload", wl.name, "--seed", str(seed), "--seconds", "0",
+        "--setup-only", "--persons", str(persons)).splitlines()[-1])
+    run.setup_wall_seconds.append(timed["wall_seconds"])
+    run.setup_seconds.append(timed["seconds"])
 
 
-def setup_only(wl: Workload, document: str) -> float:
-    views = _view_queries(wl)
-    started = _clock()
-    db = _setup_in_process(document, views)
-    elapsed = _clock() - started
+def setup_only(wl: Workload, document: str) -> dict:
+    db, wall, scaled = hostspeed.timed(
+        lambda: _setup_in_process(document, _view_queries(wl)))
     db.close()
-    return elapsed
+    return {"seconds": scaled, "wall_seconds": wall}
 
 
 def run_in_process(wl: Workload, inputs: Inputs, seconds: float,
@@ -334,21 +358,22 @@ def run_in_process(wl: Workload, inputs: Inputs, seconds: float,
     run = Run()
     run.document_bytes = len(inputs.document.encode())
     views = _view_queries(wl)
-    # The last set-up runs here and its database carries the run; the
-    # others each run in a fresh process.
+    # one processor for this process and the set-up children it starts
+    os.sched_setaffinity(0, {processors()[1]})
+    # setup_s comes from set-ups in fresh processes only: this process
+    # is no longer fresh, and a set-up here ran up to a third faster.
     started_all = _clock()
     while repeats(SETUP_REPEATS, _clock() - started_all,
-                  len(run.setup_seconds) + 1):
-        run.setup_seconds.append(time_setup_in_child(wl, seed, persons))
+                  len(run.setup_seconds)):
+        time_setup_in_child(run, wl, seed, persons)
     _traced_phase(recorder, "setup")
-    started = _clock()
     db = _setup_in_process(inputs.document, views)
-    run.setup_seconds.append(_clock() - started)
     _untraced(recorder)
 
+    # Refresh notification only: mutation capture stays off, as it is
+    # for a Database nobody subscribes to with deliver_mutations.
     pushed = []
-    db.subscribe(wl.push_view, lambda event: pushed.append(_clock()),
-                 deliver_mutations=True)
+    db.subscribe(wl.push_view, lambda event: pushed.append(_clock()))
     next_op = 0
 
     def batch(kind, statements, traced):
@@ -431,7 +456,7 @@ def run_in_process(wl: Workload, inputs: Inputs, seconds: float,
 class ServerChild:
     """``python -m repro.server`` (or the tracing launcher) as a child."""
 
-    def __init__(self, root: str, directory: str, spans_path=None):
+    def __init__(self, root: str, directory: str, spans_path, cpu: int):
         env = dict(os.environ)
         src = os.path.join(root, "src")
         env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
@@ -445,6 +470,8 @@ class ServerChild:
         command += ["--port", "0", "--durable", directory, "--fsync", "batch"]
         self.process = subprocess.Popen(command, stdout=subprocess.PIPE,
                                         text=True, env=env, cwd=root)
+        # before the server starts any thread (threads inherit it)
+        os.sched_setaffinity(self.process.pid, {cpu})
         ready, _w, _x = select.select([self.process.stdout], [], [], 60)
         banner = self.process.stdout.readline() if ready else ""
         match = _BANNER.search(banner)
@@ -485,8 +512,8 @@ class ServerChild:
             self.process.stdout.close()
 
 
-def _serve_setup(wl, inputs, views, root, directory, spans_path):
-    server = ServerChild(root, directory, spans_path)
+def _serve_setup(wl, inputs, views, root, directory, spans_path, cpu):
+    server = ServerChild(root, directory, spans_path, cpu)
     try:
         client = ReproClient(server.host, server.port, timeout=PUSH_TIMEOUT)
         client.load(DOC, inputs.document)
@@ -504,6 +531,9 @@ def run_serve(wl: Workload, inputs: Inputs, seconds: float, root: str,
               workdir: str, recorder=None) -> Run:
     run = Run(served=True)
     run.document_bytes = len(inputs.document.encode())
+    client_cpu, server_cpu = processors()
+    os.sched_setaffinity(0, {client_cpu})
+    hostspeed.measure_on((client_cpu, server_cpu))
     views = _view_queries(wl)
     spans_path = (os.path.join(workdir, "server-spans.jsonl")
                   if recorder is not None else None)
@@ -516,10 +546,11 @@ def run_serve(wl: Workload, inputs: Inputs, seconds: float, root: str,
             server.stop()
         directory = os.path.join(workdir,
                                  f"durable-{len(run.setup_seconds)}")
-        started = _clock()
-        server, client, subscriptions = _serve_setup(
-            wl, inputs, views, root, directory, spans_path)
-        run.setup_seconds.append(_clock() - started)
+        (server, client, subscriptions), wall, scaled = hostspeed.timed(
+            lambda: _serve_setup(wl, inputs, views, root, directory,
+                                 spans_path, server_cpu))
+        run.setup_wall_seconds.append(wall)
+        run.setup_seconds.append(scaled)
     try:
         _serve_window(run, wl, inputs, seconds, server, client,
                       subscriptions, recorder)
