@@ -112,9 +112,11 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
         recorder.spans = run.spans
         recorder.dump(os.path.join(scratch, f"trace-{name}.jsonl"))
         values = summary.per_layer(run)
+        names = spec.PER_LAYER
     else:
-        values, tails = summary.end_to_end(run)
-        details.update(tails)
+        values = summary.end_to_end(run)
+        names = spec.END_TO_END
+        details.update(summary.tails(run))
     recompute = summary.recompute_counts(run)
     details.update({
         "document_bytes": run.document_bytes,
@@ -130,8 +132,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
         "multiview.recompute_ratio": recompute["ratio"],
         "failed_frac": run.failed / max(run.attempted, 1),
     })
-    metrics = {key: {"value": value, "unit": spec.UNITS[key]}
-               for key, value in values.items()}
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+               for m in names}
     result = {"correct": correct, "attempted": max(run.attempted, 1),
               "failed": run.failed, "metrics": metrics}
     return correct, result, details

@@ -84,30 +84,35 @@ def wall_medians(run) -> dict:
     return medians
 
 
-def end_to_end(run) -> tuple[dict, dict]:
-    """The end-to-end metrics (untraced samples) plus their details."""
+def tails(run) -> dict:
+    """``update_tail_ms`` and ``push_lag_tail_ms`` of the untraced
+    samples, each with its percentile and sample counts (ungated
+    per-layer metrics; ``spec.MOVES`` says why).
+    """
+    chosen = {}
+    for key, field in (("update_tail_ms", "latency"),
+                       ("push_lag_tail_ms", "push_lag")):
+        entry = tail(_latencies(run, "op", field, False))
+        entry["value"] = _ms(entry["value"])
+        chosen[key] = entry
+    return chosen
+
+
+def end_to_end(run) -> dict:
+    """The end-to-end metrics, from untraced samples."""
     updates = _latencies(run, "op", "latency", False)
     lags = _latencies(run, "op", "push_lag", False)
     reads = _latencies(run, "read", "latency", False)
-    update_tail = tail(updates)
-    lag_tail = tail(lags)
-    values = {
+    return {
         "setup_s": statistics.median(run.setup_seconds),
         "update_p50_ms": _ms(statistics.median(updates)),
-        "update_tail_ms": _ms(update_tail["value"]),
         "stmts_per_s": run.statements_applied / run.scaled_busy_seconds,
         "read_p50_ms": _ms(statistics.median(reads)),
         "push_lag_p50_ms": _ms(statistics.median(lags)),
-        "push_lag_tail_ms": _ms(lag_tail["value"]),
         "durable_bytes_per_input_byte":
             run.durable_bytes / run.durable_input_bytes,
         "peak_rss_mb": run.peak_rss_bytes / (1024.0 * 1024.0),
     }
-    details = {"update_tail": {k: v for k, v in update_tail.items()
-                               if k != "value"},
-               "push_lag_tail": {k: v for k, v in lag_tail.items()
-                                 if k != "value"}}
-    return values, details
 
 
 def recompute_counts(run) -> dict:
@@ -195,7 +200,9 @@ def per_layer(run) -> dict:
     traced_p50 = _latencies(run, "op", "latency", True)
     untraced_p50 = _latencies(run, "op", "latency", False)
 
-    values = {
+    # untraced cycles of this run (the odd ones)
+    values = {key: entry["value"] for key, entry in tails(run).items()}
+    values.update({
         "api.resolve_ms": _ms(resolve),
         "xquery.parse_update_ms": per_batch_ms("xquery.parse_update"),
         "xquery.evaluate_update_ms": per_batch_ms("xquery.evaluate_update"),
@@ -259,5 +266,5 @@ def per_layer(run) -> dict:
             - 1.0) if traced_p50 and untraced_p50 else 0.0,
         "layers.coverage": _ratio(covered, batch_wall),
         "failed_frac": _ratio(run.failed, run.attempted),
-    }
+    })
     return values
